@@ -8,7 +8,10 @@
 // bit-identical, and emits both rows — so the JSON carries the interpreter
 // baseline next to the specialized speedup per width. The legacy
 // thread-mapping and fusion micro comparisons (Figure 5's gather trade-off,
-// fused vs unfused scatter-apply-gather) ride along as extra rows.
+// fused vs unfused scatter-apply-gather) ride along as extra rows, and one
+// `gemm/<m>x<n>x<k>[tA][tB]` row per dense matmul shape of a Pubmed GAT
+// training step times ops::matmul and checks it bit-for-bit against a naive
+// triple loop.
 //
 // `--no-specialize` keeps only the interpreter rows (the ablation trajectory).
 #include <cstdio>
@@ -21,6 +24,7 @@
 
 #include "bench_common.h"
 #include "engine/kernels.h"
+#include "tensor/ops.h"
 #include "engine/specialize.h"
 #include "engine/vm.h"
 #include "graph/generators.h"
@@ -468,6 +472,67 @@ void run_fusion_pair(bench::JsonReport& report, const Graph& g, std::int64_t f,
                  "\"");
 }
 
+// --- dense GEMM ---------------------------------------------------------------
+
+/// One ops::matmul call shape: op(A) is m x k, op(B) is k x n.
+struct GemmShape {
+  std::int64_t m, n, k;
+  bool trans_a, trans_b;
+};
+
+/// The distinct matmul shapes of one full-batch GAT training step on Pubmed
+/// (19717 vertices, 125-wide features, 2 layers, hidden 128, 1 head, 3
+/// classes): forward X·W and h·a, the weight gradients Xᵀ·dY and hᵀ·g, and
+/// the input gradients dY·Wᵀ (outer products where the weight has one row).
+constexpr GemmShape kPubmedGatStep[] = {
+    {19717, 128, 125, false, false}, {125, 128, 19717, true, false},
+    {128, 1, 19717, true, false},    {128, 3, 19717, true, false},
+    {3, 1, 19717, true, false},      {19717, 1, 128, false, false},
+    {19717, 1, 3, false, false},     {19717, 3, 128, false, false},
+    {19717, 128, 1, false, true},    {19717, 3, 1, false, true},
+    {19717, 128, 3, false, true},
+};
+
+/// C = op(A)·op(B) as a plain triple loop in the order ops::matmul promises:
+/// each element starts at 0 and adds the products for p = 0..k-1.
+Tensor naive_gemm(const Tensor& a, const Tensor& b, const GemmShape& s) {
+  Tensor c(s.m, s.n);
+  for (std::int64_t i = 0; i < s.m; ++i) {
+    for (std::int64_t j = 0; j < s.n; ++j) {
+      float acc = 0.f;
+      for (std::int64_t p = 0; p < s.k; ++p) {
+        const float av = s.trans_a ? a.data()[p * s.m + i] : a.data()[i * s.k + p];
+        const float bv = s.trans_b ? b.data()[j * s.k + p] : b.data()[p * s.n + j];
+        acc += av * bv;
+      }
+      c.data()[i * s.n + j] = acc;
+    }
+  }
+  return c;
+}
+
+void run_gemm(bench::JsonReport& report, const GemmShape& s, int reps) {
+  Rng rng(21);
+  const Tensor a = Tensor::randn(s.trans_a ? s.k : s.m, s.trans_a ? s.m : s.k, rng);
+  const Tensor b = Tensor::randn(s.trans_b ? s.n : s.k, s.trans_b ? s.k : s.n, rng);
+  Tensor c(s.m, s.n);
+  const bench::Measurement mm =
+      time_fn([&] { ops::matmul(a, b, c, s.trans_a, s.trans_b); }, reps);
+  const std::string name = "gemm/" + std::to_string(s.m) + "x" + std::to_string(s.n) +
+                           "x" + std::to_string(s.k) + (s.trans_a ? "tA" : "") +
+                           (s.trans_b ? "tB" : "");
+  if (std::memcmp(c.data(), naive_gemm(a, b, s).data(), c.bytes()) != 0) {
+    std::fprintf(stderr, "FATAL: %s differs from the naive reference\n", name.c_str());
+    std::exit(1);
+  }
+  const double flop = 2.0 * static_cast<double>(s.m * s.n * s.k);
+  char extra[160];
+  std::snprintf(extra, sizeof extra,
+                "\"ms\": %.4f, \"gflops\": %.3f, \"bit_identical\": true",
+                mm.seconds * 1e3, flop / mm.seconds * 1e-9);
+  report.row(name, "ops::matmul", mm, mm, extra);
+}
+
 int run(int argc, char** argv) {
   bench::Options opt = bench::Options::parse(argc, argv);
   const int reps = std::max(3, opt.steps * 3);
@@ -525,6 +590,7 @@ int run(int argc, char** argv) {
   run_gather_mapping(report, g, 16, reps);
   run_gather_mapping(report, g, 64, reps);
   run_fusion_pair(report, g, 64, opt, reps);
+  for (const GemmShape& s : kPubmedGatStep) run_gemm(report, s, reps);
 
   bench::print_footnote(opt);
   report.write();

@@ -49,13 +49,17 @@ Trainer Model::trainer(const Graph& graph, Tensor features, Tensor pseudo,
 }
 
 Trainer Model::trainer(const Dataset& data, MemoryPool* pool) const {
+  // The features are a read-only input, so the trainer binds the dataset's
+  // own tensor. Only a trainer on another pool gets a copy, so that its pool
+  // still accounts the features once.
+  Tensor features = data.features.pool() == pool
+                        ? data.features
+                        : data.features.clone(MemTag::kInput, pool);
   Tensor pseudo;
   if (module_->pseudo_dim() > 0) {
-    pseudo = make_pseudo_coords(data.graph, module_->pseudo_dim())
-                 .clone(MemTag::kInput, pool);
+    pseudo = make_pseudo_coords(data.graph, module_->pseudo_dim(), pool);
   }
-  return trainer(data.graph, data.features.clone(MemTag::kInput, pool),
-                 std::move(pseudo), pool);
+  return trainer(data.graph, std::move(features), std::move(pseudo), pool);
 }
 
 std::unique_ptr<serve::InferenceServer> Model::server(serve::BatchPolicy batch,

@@ -80,8 +80,10 @@ class Model {
   /// A Trainer over the shared compile artifact.
   Trainer trainer(const Graph& graph, Tensor features, Tensor pseudo = {},
                   MemoryPool* pool = &global_pool_mem()) const;
-  /// Convenience over a Dataset: clones the features into `pool` and, for
-  /// modules with pseudo_dim() > 0, derives degree-based pseudo-coordinates.
+  /// Convenience over a Dataset: binds the dataset's features (a shared,
+  /// read-only handle; copied only when they live in a pool other than
+  /// `pool`) and, for modules with pseudo_dim() > 0, derives degree-based
+  /// pseudo-coordinates in `pool`.
   Trainer trainer(const Dataset& data,
                   MemoryPool* pool = &global_pool_mem()) const;
 

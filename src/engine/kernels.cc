@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 
 #include "support/counters.h"
@@ -280,37 +281,37 @@ void apply_binary(ApplyFn fn, const Tensor& a, const Tensor& b, Tensor& out,
   charge((na + nb) * 4, no * 4, std::max(na, nb));
 }
 
+// The three Linear kernels address the weight row window [wrow_lo, wrow_hi)
+// in place: a row-offset pointer plus the full tensor's row stride.
 void linear(const Tensor& x, const Tensor& w, Tensor& out, std::int64_t wrow_lo,
             std::int64_t wrow_hi) {
   if (wrow_hi == 0) wrow_hi = w.rows();
-  Tensor wview;
-  const Tensor* pw = &w;
-  if (wrow_lo != 0 || wrow_hi != w.rows()) {
-    wview = Tensor(wrow_hi - wrow_lo, w.cols(), MemTag::kWorkspace);
-    for (std::int64_t r = wrow_lo; r < wrow_hi; ++r) {
-      std::copy_n(w.row(r), w.cols(), wview.row(r - wrow_lo));
-    }
-    pw = &wview;
-  }
-  ops::matmul(x, *pw, out);
-  const auto k = static_cast<std::uint64_t>(wrow_hi - wrow_lo);
-  charge(x.bytes() + k * w.cols() * 4, out.bytes(),
+  const std::int64_t k = wrow_hi - wrow_lo;
+  TRIAD_CHECK(wrow_lo >= 0 && k > 0 && wrow_hi <= w.rows(), "linear weight window");
+  TRIAD_CHECK_EQ(x.cols(), k, "linear inner dim");
+  TRIAD_CHECK_EQ(out.rows(), x.rows());
+  TRIAD_CHECK_EQ(out.cols(), w.cols());
+  ops::gemm(x.rows(), w.cols(), k, x.data(), x.cols(), /*trans_a=*/false,
+            w.row(wrow_lo), w.cols(), /*trans_b=*/false, out.data(), out.cols());
+  charge(x.bytes() + static_cast<std::uint64_t>(k) * w.cols() * 4, out.bytes(),
          2 * static_cast<std::uint64_t>(x.rows()) * k * w.cols());
 }
 
 void linear_wgrad(const Tensor& x, const Tensor& grad, Tensor& out,
                   std::int64_t wrow_lo, std::int64_t wrow_hi) {
   if (wrow_hi == 0) wrow_hi = out.rows();
-  out.fill(0.f);
-  if (wrow_lo == 0 && wrow_hi == out.rows()) {
-    ops::matmul(x, grad, out, /*trans_a=*/true);
-  } else {
-    Tensor window(wrow_hi - wrow_lo, out.cols(), MemTag::kWorkspace);
-    ops::matmul(x, grad, window, /*trans_a=*/true);
-    for (std::int64_t r = wrow_lo; r < wrow_hi; ++r) {
-      std::copy_n(window.row(r - wrow_lo), out.cols(), out.row(r));
-    }
+  TRIAD_CHECK(wrow_lo >= 0 && wrow_lo < wrow_hi && wrow_hi <= out.rows(),
+              "linear_wgrad weight window");
+  TRIAD_CHECK_EQ(x.cols(), wrow_hi - wrow_lo, "linear_wgrad window rows");
+  TRIAD_CHECK_EQ(x.rows(), grad.rows(), "linear_wgrad inner dim");
+  TRIAD_CHECK_EQ(out.cols(), grad.cols());
+  const std::size_t row_bytes = static_cast<std::size_t>(out.cols()) * sizeof(float);
+  if (wrow_lo > 0) std::memset(out.data(), 0, row_bytes * wrow_lo);
+  if (wrow_hi < out.rows()) {
+    std::memset(out.row(wrow_hi), 0, row_bytes * (out.rows() - wrow_hi));
   }
+  ops::gemm(x.cols(), grad.cols(), x.rows(), x.data(), x.cols(), /*trans_a=*/true,
+            grad.data(), grad.cols(), /*trans_b=*/false, out.row(wrow_lo), out.cols());
   charge(x.bytes() + grad.bytes(), out.bytes(),
          2 * static_cast<std::uint64_t>(x.rows()) * x.cols() * grad.cols());
 }
@@ -318,17 +319,14 @@ void linear_wgrad(const Tensor& x, const Tensor& grad, Tensor& out,
 void linear_xgrad(const Tensor& grad, const Tensor& w, Tensor& out,
                   std::int64_t wrow_lo, std::int64_t wrow_hi) {
   if (wrow_hi == 0) wrow_hi = w.rows();
-  Tensor wview;
-  const Tensor* pw = &w;
-  if (wrow_lo != 0 || wrow_hi != w.rows()) {
-    wview = Tensor(wrow_hi - wrow_lo, w.cols(), MemTag::kWorkspace);
-    for (std::int64_t r = wrow_lo; r < wrow_hi; ++r) {
-      std::copy_n(w.row(r), w.cols(), wview.row(r - wrow_lo));
-    }
-    pw = &wview;
-  }
-  ops::matmul(grad, *pw, out, /*trans_a=*/false, /*trans_b=*/true);
-  charge(grad.bytes() + pw->bytes(), out.bytes(),
+  const std::int64_t n = wrow_hi - wrow_lo;
+  TRIAD_CHECK(wrow_lo >= 0 && n > 0 && wrow_hi <= w.rows(), "linear_xgrad weight window");
+  TRIAD_CHECK_EQ(grad.cols(), w.cols(), "linear_xgrad inner dim");
+  TRIAD_CHECK_EQ(out.rows(), grad.rows());
+  TRIAD_CHECK_EQ(out.cols(), n);
+  ops::gemm(grad.rows(), n, grad.cols(), grad.data(), grad.cols(), /*trans_a=*/false,
+            w.row(wrow_lo), w.cols(), /*trans_b=*/true, out.data(), out.cols());
+  charge(grad.bytes() + static_cast<std::uint64_t>(n) * w.cols() * 4, out.bytes(),
          2 * static_cast<std::uint64_t>(grad.rows()) * grad.cols() * out.cols());
 }
 

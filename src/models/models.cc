@@ -26,8 +26,8 @@ ModelGraph build_monet(const MoNetConfig& cfg, Rng& rng) {
   return api::MoNet(cfg).build(rng);
 }
 
-Tensor make_pseudo_coords(const Graph& g, std::int64_t dim) {
-  Tensor p(g.num_edges(), dim, MemTag::kInput);
+Tensor make_pseudo_coords(const Graph& g, std::int64_t dim, MemoryPool* pool) {
+  Tensor p(g.num_edges(), dim, MemTag::kInput, pool);
   for (std::int64_t e = 0; e < g.num_edges(); ++e) {
     float* row = p.row(e);
     const auto du = static_cast<float>(std::max<std::int64_t>(

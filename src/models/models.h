@@ -80,7 +80,9 @@ struct MoNetConfig {
 ModelGraph build_monet(const MoNetConfig& cfg, Rng& rng);
 
 /// Degree-based pseudo-coordinates for MoNet: per edge (u→v),
-/// [1/√deg(u), 1/√deg(v), 1, …] truncated/padded to `dim` columns.
-Tensor make_pseudo_coords(const Graph& g, std::int64_t dim);
+/// [1/√deg(u), 1/√deg(v), 1, …] truncated/padded to `dim` columns, allocated
+/// as a kInput tensor in `pool`.
+Tensor make_pseudo_coords(const Graph& g, std::int64_t dim,
+                          MemoryPool* pool = &global_pool_mem());
 
 }  // namespace triad

@@ -12,10 +12,28 @@
 
 namespace triad::ops {
 
-/// C (+)= op(A) * op(B). Blocked SGEMM, row-major.
+/// C (+)= op(A) * op(B). Register-tiled SGEMM, row-major.
 /// A is (m,k) when !trans_a else (k,m); B is (k,n) when !trans_b else (n,k).
+///
+/// Summation order (the bit-identity contract): every C element starts at 0
+/// (or at its current value when `accumulate`) and adds op(A)(i,p) *
+/// op(B)(p,j) for p = 0, 1, ..., k-1 in that order, multiply then add, no FMA
+/// (the build pins -ffp-contract=off). Tile shape, code path and the number
+/// of pool threads never change that order, so the output is the same bits
+/// as a naive triple loop. Transposed operands are read in place by stride,
+/// never copied into a transposed tensor, and the kernel allocates nothing
+/// (its narrow paths stage at most 8 x 64 strided B values on the stack).
 void matmul(const Tensor& a, const Tensor& b, Tensor& c, bool trans_a = false,
             bool trans_b = false, bool accumulate = false);
+
+/// The kernel behind matmul() on raw row-major storage, for operands that are
+/// windows of larger tensors (e.g. a row range of a weight matrix). op(A) is
+/// m x k and op(B) is k x n; a row of A (or of Aᵀ's storage when trans_a)
+/// starts every `lda` floats, likewise `ldb` for B and `ldc` for C. Same
+/// summation order as matmul(); C must not overlap A or B.
+void gemm(std::int64_t m, std::int64_t n, std::int64_t k, const float* a,
+          std::int64_t lda, bool trans_a, const float* b, std::int64_t ldb,
+          bool trans_b, float* c, std::int64_t ldc, bool accumulate = false);
 
 /// y[r, :] += bias[0, :] for every row.
 void add_bias(Tensor& y, const Tensor& bias);

@@ -46,6 +46,8 @@ class Tensor {
   std::int64_t numel() const { return rows_ * cols_; }
   std::size_t bytes() const { return static_cast<std::size_t>(numel()) * sizeof(float); }
   MemTag tag() const { return storage_ ? storage_->tag : MemTag::kActivations; }
+  /// Pool the payload is accounted in (null for an undefined tensor).
+  MemoryPool* pool() const { return storage_ ? storage_->pool : nullptr; }
 
   float* data() { return storage_ ? storage_->data : nullptr; }
   const float* data() const { return storage_ ? storage_->data : nullptr; }

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "engine/kernels.h"
 #include "graph/generators.h"
@@ -263,7 +264,7 @@ TEST(Kernels, LinearRowWindowMatchesManualSlice) {
   }
   Tensor ref(6, 4);
   ops::matmul(x, wslice, ref);
-  EXPECT_LT(ops::max_abs_diff(out, ref), 1e-4f);
+  EXPECT_EQ(std::memcmp(out.data(), ref.data(), out.bytes()), 0);
 }
 
 TEST(Kernels, LinearWGradWindowWritesOnlyWindow) {
@@ -279,9 +280,38 @@ TEST(Kernels, LinearWGradWindowWritesOnlyWindow) {
   // window content = xᵀ grad
   Tensor ref(3, 4);
   ops::matmul(x, grad, ref, true);
+  EXPECT_EQ(std::memcmp(out.row(2), ref.data(), ref.bytes()), 0);
+}
+
+TEST(Kernels, LinearXGradWindowMatchesManualSlice) {
+  Rng rng(47);
+  Tensor grad = Tensor::randn(6, 4, rng);
+  Tensor w = Tensor::randn(8, 4, rng);  // use rows [2, 5)
+  Tensor out(6, 3);
+  kernels::linear_xgrad(grad, w, out, 2, 5);
+  Tensor wslice(3, 4);
   for (int r = 0; r < 3; ++r) {
-    for (int c = 0; c < 4; ++c) EXPECT_NEAR(out.at(r + 2, c), ref.at(r, c), 1e-4f);
+    for (int c = 0; c < 4; ++c) wslice.at(r, c) = w.at(r + 2, c);
   }
+  Tensor ref(6, 3);
+  ops::matmul(grad, wslice, ref, false, /*trans_b=*/true);
+  EXPECT_EQ(std::memcmp(out.data(), ref.data(), out.bytes()), 0);
+}
+
+TEST(Kernels, LinearWindowsAllocateNoWorkspace) {
+  // The weight row window is addressed in place (row-offset pointer plus the
+  // full tensor's row stride): no sliced copy, no scratch product.
+  Rng rng(53);
+  Tensor x = Tensor::randn(40, 3, rng);
+  Tensor w = Tensor::randn(8, 5, rng);
+  Tensor y(40, 5), xgrad(40, 3), wgrad(8, 5);
+  MemoryPool& pool = global_pool_mem();
+  const std::size_t live = pool.live_bytes();
+  pool.reset_peak();
+  kernels::linear(x, w, y, 2, 5);
+  kernels::linear_xgrad(y, w, xgrad, 2, 5);
+  kernels::linear_wgrad(x, y, wgrad, 2, 5);
+  EXPECT_EQ(pool.peak_bytes(), live);
 }
 
 TEST(Kernels, ChargesIoForScatter) {

@@ -2,6 +2,8 @@
 // optimized pipeline trains identically to the baseline over multiple steps.
 #include <gtest/gtest.h>
 
+#include "api/engine.h"
+#include "api/models.h"
 #include "baselines/strategy.h"
 #include "graph/datasets.h"
 #include "graph/knn.h"
@@ -116,6 +118,69 @@ TEST(Training, BaselineAndOursTrainIdentically) {
   const float a = train(naive(), 8);
   const float b = train(ours(), 8);
   EXPECT_NEAR(a, b, 5e-3f);
+}
+
+// The plan's peak estimate covers every tensor the plan owns: bound inputs,
+// parameters, the loss seed (an Input node bound each step) and every
+// intermediate. A training step's observed pool peak may exceed it only by
+// the tensors outside the plan, each named and sized from its shape here.
+TEST(Training, GatStepPeakIsPlanEstimatePlusUnplannedTensors) {
+  Rng rng(2);
+  Dataset data = make_dataset("citeseer", rng, 0.08, 0.02);
+  // The dataset lives in the trainer's pool, so Model::trainer binds its
+  // features rather than copying them (a copy would add their bytes again).
+  MemoryPool pool;
+  data.features = data.features.clone(MemTag::kInput, &pool);
+  IntTensor labels(data.labels.rows(), 1, MemTag::kInput, &pool);
+  for (std::int64_t v = 0; v < labels.rows(); ++v) labels.at(v, 0) = data.labels.at(v, 0);
+  GatConfig cfg;
+  cfg.in_dim = data.features.cols();
+  cfg.hidden = 16;
+  cfg.heads = 2;
+  cfg.layers = 2;
+  cfg.num_classes = data.num_classes;
+  api::CompileOptions opts;
+  opts.strategy = ours();
+  const api::Model model = api::Engine(opts).compile(std::make_shared<api::Gat>(cfg));
+  Trainer t = model.trainer(data, &pool);
+  const ExecutionPlan& plan = t.runner().plan();
+  const IrGraph& ir = plan.ir();
+  ASSERT_EQ(plan.num_shards(), 0);
+  ASSERT_EQ(ir.node(t.model().seed).kind, OpKind::Input);  // seed is planned
+
+  auto bytes_of = [&](int node) {
+    return static_cast<std::size_t>(plan.step(node).rows * ir.node(node).cols) * sizeof(float);
+  };
+  auto node_named = [&](const std::string& name) {
+    for (int id = 0; id < plan.size(); ++id) {
+      if (ir.node(id).name == name) return id;
+    }
+    ADD_FAILURE() << "no node named " << name;
+    return 0;
+  };
+  std::size_t param_bytes = 0;
+  for (int p : t.model().params) param_bytes += bytes_of(p);
+
+  const std::size_t label_bytes = static_cast<std::size_t>(labels.numel()) * sizeof(std::int32_t);
+  // The ParamServer (transport is on in ours()) holds its own copy of every
+  // parameter plus one gradient receive buffer per parameter.
+  ASSERT_NE(t.param_server(), nullptr);
+  const std::size_t server_bytes = 2 * param_bytes;
+  const std::size_t unplanned = label_bytes + server_bytes;
+
+  // First step: no tensor survives from an earlier step.
+  EXPECT_EQ(t.train_step(labels, 0.05f).peak_bytes, plan.estimated_peak_bytes() + unplanned);
+
+  // Later steps: the previous step's outputs stay alive until their nodes run
+  // again. The peak falls in layer 0's backward pass, before its weight
+  // gradients are produced again, so those two outputs are still held.
+  const std::size_t kept = bytes_of(node_named("dW:layer0.feat_proj")) +
+                           bytes_of(node_named("grad_acc:layer0.A"));
+  for (int step = 1; step < 3; ++step) {
+    EXPECT_EQ(t.train_step(labels, 0.05f).peak_bytes,
+              plan.estimated_peak_bytes() + unplanned + kept)
+        << "step " << step;
+  }
 }
 
 TEST(Training, MetricsPopulated) {
